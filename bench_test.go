@@ -353,6 +353,23 @@ func BenchmarkSpectralGradSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkSpectralValueGrad measures the dense spectral forward +
+// backward the dense learners call every inner iteration, on a fully
+// dense W. After the first call the evaluator's tape workspace is
+// warm, so the steady state must report 0 allocs/op.
+func BenchmarkSpectralValueGrad(b *testing.B) {
+	for _, d := range []int{12, 100} {
+		w, _ := benchW(d, 1)
+		sp := constraint.NewSpectral(5, 0.9)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sp.ValueGrad(w)
+			}
+		})
+	}
+}
+
 // BenchmarkSparseLossGrad sweeps the sparse loss (X·W plus the
 // support-restricted gradient) across worker counts at Fig-5-step
 // shapes.

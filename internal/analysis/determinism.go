@@ -8,9 +8,9 @@ import (
 
 // Determinism enforces the DESIGN.md §9 bit-determinism contract in
 // the kernel packages (internal/mat, internal/sparse, internal/loss,
-// internal/parallel): results must be a pure function of the inputs
-// and the worker count, so replay, the MulRef oracle and the crash
-// drills can demand bit-identical outputs.
+// internal/parallel, internal/constraint): results must be a pure
+// function of the inputs and the worker count, so replay, the MulRef
+// oracle and the crash drills can demand bit-identical outputs.
 //
 // Three rules:
 //
@@ -41,6 +41,7 @@ var kernelPackages = []string{
 	"internal/sparse",
 	"internal/loss",
 	"internal/parallel",
+	"internal/constraint",
 }
 
 func runDeterminism(pass *Pass) {

@@ -246,6 +246,7 @@ func TestAppliesGates(t *testing.T) {
 		{Determinism, "repro/internal/sparse", true},
 		{Determinism, "repro/internal/loss", true},
 		{Determinism, "repro/internal/parallel", true},
+		{Determinism, "repro/internal/constraint", true},
 		{Determinism, "repro/internal/serve", false},
 		{Determinism, "repro", false},
 		{TypedErr, "repro/internal/serve", true},

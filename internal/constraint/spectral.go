@@ -42,22 +42,20 @@ func powSafe(base, exp float64) float64 {
 	return math.Pow(base, exp)
 }
 
-// balanceVec computes b = r^α ∘ c^(1−α) elementwise.
-func balanceVec(r, c []float64, alpha float64) []float64 {
-	b := make([]float64, len(r))
+// balanceVec writes b = r^α ∘ c^(1−α) elementwise into b.
+func balanceVec(b, r, c []float64, alpha float64) {
 	for i := range r {
 		b[i] = powSafe(r[i], alpha) * powSafe(c[i], 1-alpha)
 	}
-	return b
 }
 
-// xyVec computes the Lemma-3 partials x = α(c/r)^(1−α) and
-// y = (1−α)(r/c)^α with the zero-row/zero-column subgradient convention
-// (a vanished row or column contributes no gradient).
-func xyVec(r, c []float64, alpha float64) (x, y []float64) {
-	x = make([]float64, len(r))
-	y = make([]float64, len(r))
+// xyVec writes the Lemma-3 partials x = α(c/r)^(1−α) and
+// y = (1−α)(r/c)^α into x and y, with the zero-row/zero-column
+// subgradient convention (a vanished row or column contributes no
+// gradient).
+func xyVec(x, y, r, c []float64, alpha float64) {
 	for i := range r {
+		x[i], y[i] = 0, 0
 		if r[i] > 0 {
 			x[i] = alpha * powSafe(c[i]/r[i], 1-alpha)
 		}
@@ -65,7 +63,6 @@ func xyVec(r, c []float64, alpha float64) (x, y []float64) {
 			y[i] = (1 - alpha) * powSafe(r[i]/c[i], alpha)
 		}
 	}
-	return x, y
 }
 
 // sum returns Σv.
@@ -78,8 +75,16 @@ func sum(v []float64) float64 {
 }
 
 // Spectral evaluates the paper's bound and its gradient for dense
-// weight matrices. It retains the forward tape (S^(j), b^(j)) so
-// Backward can replay it.
+// weight matrices. The dense path runs on a tape workspace the
+// evaluator owns (S^(0..K) with their row sums, column sums and b
+// vectors, plus the backward buffers): it is sized on first use and
+// re-sized only when d or K changes, so steady-state Value and
+// ValueGrad calls allocate nothing. The gradient ValueGrad returns
+// lives in that workspace too.
+//
+// A Spectral is not safe for concurrent use, and it must not be copied
+// after first use (a copy would share the workspace); concurrent
+// learns each build their own.
 type Spectral struct {
 	K     int
 	Alpha float64
@@ -93,6 +98,8 @@ type Spectral struct {
 	// units (0 = parallel.DefaultMinWork). Tests set 1 to force the
 	// parallel path on tiny matrices.
 	MinWork int
+
+	tape denseTape
 }
 
 // NewSpectral returns a Spectral evaluator with the paper's defaults
@@ -113,142 +120,206 @@ func (sp *Spectral) runner() *parallel.Runner {
 	return parallel.NewWithMinWork(sp.Workers, sp.MinWork)
 }
 
-// denseTape is the saved forward state for the dense backward pass.
+// denseTape is the dense path's workspace: the forward tape the
+// backward pass replays, plus the backward scratch. A call writes
+// every slot before it reads it, so nothing leaks between calls.
 type denseTape struct {
-	s []*mat.Dense // S^(0) .. S^(k)
-	b [][]float64  // b^(0) .. b^(k)
+	d int
+	// Forward tape, one entry per round j = 0..K: S^(j) (d×d,
+	// row-major), its row sums r^(j), column sums c^(j) and balance
+	// vector b^(j).
+	s, r, c, b [][]float64
+	// Per-round scratch: D⁻¹'s diagonal in the forward pass; the
+	// Lemma-3 partials, the z vector and the row accumulators in the
+	// backward pass.
+	inv, x, y, z, rowAcc []float64
+	// G^(j) and G^(j−1), swapping roles each backward round.
+	g, gNext []float64
+	// The gradient ValueGrad returns.
+	grad *mat.Dense
 }
 
-// Value returns δ^(k)(W) (FORWARD of Fig 2) for a dense W.
-func (sp *Spectral) Value(w *mat.Dense) float64 {
-	v, _ := sp.forwardDense(w)
-	return v
-}
-
-func (sp *Spectral) forwardDense(w *mat.Dense) (float64, *denseTape) {
-	tape := &denseTape{}
-	s := w.Square()
-	for j := 0; j <= sp.K; j++ {
-		r := s.RowSums()
-		c := s.ColSums()
-		b := balanceVec(r, c, sp.Alpha)
-		tape.s = append(tape.s, s)
-		tape.b = append(tape.b, b)
-		if j == sp.K {
-			break
+// workspace returns the dense tape sized for a d×d W and sp.K rounds,
+// re-sizing it only when either changed since the last call.
+func (sp *Spectral) workspace(d int) *denseTape {
+	t := &sp.tape
+	if t.grad != nil && t.d == d && len(t.s) == sp.K+1 {
+		return t
+	}
+	rounds := func(size int) [][]float64 {
+		v := make([][]float64, sp.K+1)
+		for j := range v {
+			v[j] = make([]float64, size)
 		}
+		return v
+	}
+	*t = denseTape{
+		d: d,
+		s: rounds(d * d), r: rounds(d), c: rounds(d), b: rounds(d),
+		inv: make([]float64, d), x: make([]float64, d), y: make([]float64, d),
+		z: make([]float64, d), rowAcc: make([]float64, d),
+		g: make([]float64, d*d), gNext: make([]float64, d*d),
+		grad: mat.NewDense(d, d),
+	}
+	return t
+}
+
+// Value returns δ^(k)(W) (FORWARD of Fig 2) for a dense W. It reuses
+// the forward tape but leaves a gradient returned by ValueGrad intact.
+func (sp *Spectral) Value(w *mat.Dense) float64 {
+	return sp.forwardDense(w)
+}
+
+// forwardDense runs FORWARD onto the tape. Each round writes S^(j+1) =
+// D⁻¹S^(j)D and accumulates its row and column sums in the same pass,
+// in the order mat.Dense.RowSums/ColSums would (each row left to right,
+// columns in row-major order), so the sums are bit-identical to
+// separate passes.
+func (sp *Spectral) forwardDense(w *mat.Dense) float64 {
+	d := w.Rows()
+	t := sp.workspace(d)
+	// S^(0) = W∘W.
+	wd, s, r, c := w.Data(), t.s[0], t.r[0], t.c[0]
+	clear(c)
+	for i := 0; i < d; i++ {
+		wrow, srow := wd[i*d:(i+1)*d], s[i*d:(i+1)*d]
+		var rs float64
+		for l, v := range wrow {
+			sv := v * v
+			srow[l] = sv
+			rs += sv
+			c[l] += sv
+		}
+		r[i] = rs
+	}
+	balanceVec(t.b[0], r, c, sp.Alpha)
+	for j := 0; j < sp.K; j++ {
 		// S^(j+1) = D⁻¹ S^(j) D, i.e. S[i,l] * b[l]/b[i].
-		next := mat.NewDense(s.Rows(), s.Cols())
-		inv := make([]float64, len(b))
+		b, inv := t.b[j], t.inv
 		for i, bi := range b {
+			inv[i] = 0
 			if bi > 0 {
 				inv[i] = 1 / bi
 			}
 		}
-		for i := 0; i < s.Rows(); i++ {
-			srow := s.Row(i)
-			nrow := next.Row(i)
+		s, next, r, c := t.s[j], t.s[j+1], t.r[j+1], t.c[j+1]
+		clear(c)
+		for i := 0; i < d; i++ {
+			srow, nrow := s[i*d:(i+1)*d], next[i*d:(i+1)*d]
 			ri := inv[i]
 			if ri == 0 {
+				clear(nrow)
+				r[i] = 0
 				continue
 			}
+			b, c := b[:len(srow)], c[:len(srow)] // bounds-check hint
+			var rs float64
 			for l, v := range srow {
+				var nv float64
 				if v != 0 {
-					nrow[l] = v * b[l] * ri
+					nv = v * b[l] * ri
 				}
+				nrow[l] = nv
+				rs += nv
+				c[l] += nv
 			}
+			r[i] = rs
 		}
-		s = next
+		balanceVec(t.b[j+1], r, c, sp.Alpha)
 	}
-	return sum(tape.b[sp.K]), tape
+	return sum(t.b[sp.K])
 }
 
 // ValueGrad returns δ^(k)(W) and ∇_W δ^(k) (FORWARD + BACKWARD of
 // Fig 2). The gradient is supported exactly on the non-zeros of W
 // (Lemma 5 masking), so for a sparse W the returned dense matrix is
 // sparse too.
+//
+// The gradient is owned by the evaluator: it stays valid until the
+// next ValueGrad call on the same Spectral, which overwrites it (Value
+// does not). This is the loss.GramEval contract; the learners fold the
+// gradient into the optimizer within the same iteration.
 func (sp *Spectral) ValueGrad(w *mat.Dense) (float64, *mat.Dense) {
-	val, tape := sp.forwardDense(w)
-	d := w.Rows()
+	val := sp.forwardDense(w)
+	t := &sp.tape
+	d, wd := t.d, w.Data()
+	x, y, z, rowAcc := t.x, t.y, t.z, t.rowAcc
 	// G^(k) = (x^(k)[i] + y^(k)[l]) masked to the support of W.
-	rk := tape.s[sp.K].RowSums()
-	ck := tape.s[sp.K].ColSums()
-	xk, yk := xyVec(rk, ck, sp.Alpha)
-	g := mat.NewDense(d, d)
+	xyVec(x, y, t.r[sp.K], t.c[sp.K], sp.Alpha)
+	g, next := t.g, t.gNext
 	for i := 0; i < d; i++ {
-		wrow := w.Row(i)
-		grow := g.Row(i)
+		wrow, grow := wd[i*d:(i+1)*d], g[i*d:(i+1)*d]
 		for l, wv := range wrow {
+			grow[l] = 0
 			if wv != 0 {
-				grow[l] = xk[i] + yk[l]
+				grow[l] = x[i] + y[l]
 			}
 		}
 	}
 	for j := sp.K; j >= 1; j-- {
-		sPrev := tape.s[j-1]
-		b := tape.b[j-1]
-		r := sPrev.RowSums()
-		c := sPrev.ColSums()
-		x, y := xyVec(r, c, sp.Alpha)
+		s, b := t.s[j-1], t.b[j-1]
+		xyVec(x, y, t.r[j-1], t.c[j-1], sp.Alpha)
 		// z^(j−1)[m] = Σ_i G[i,m]·S[i,m]/b[i]  −  (Σ_l G[m,l]·S[m,l]·b[l]) / b[m]²
-		z := make([]float64, d)
-		rowAcc := make([]float64, d) // Σ_l G[m,l]·S[m,l]·b[l]
+		clear(z)
 		for i := 0; i < d; i++ {
-			grow := g.Row(i)
-			srow := sPrev.Row(i)
+			bi := b[i]
+			grow, srow := g[i*d:(i+1)*d], s[i*d:(i+1)*d]
+			b, z := b[:len(grow)], z[:len(grow)] // bounds-check hint
+			// Σ_l G[i,l]·S[i,l]·b[l], kept in a register rather than rowAcc[i].
+			var acc float64
 			for l, gv := range grow {
 				if gv == 0 {
 					continue
 				}
-				t := gv * srow[l]
-				if t == 0 {
+				tv := gv * srow[l]
+				if tv == 0 {
 					continue
 				}
-				if b[i] > 0 {
-					z[l] += t / b[i]
+				if bi > 0 {
+					z[l] += tv / bi
 				}
-				rowAcc[i] += t * b[l]
+				acc += tv * b[l]
 			}
+			rowAcc[i] = acc
 		}
 		for m := 0; m < d; m++ {
 			if b[m] > 0 {
 				z[m] -= rowAcc[m] / (b[m] * b[m])
 			}
 		}
-		// G^(j−1)[p,q] = (b[q]/b[p])·G^(j)[p,q] + x[p]z[p] + y[q]z[q], masked.
-		next := mat.NewDense(d, d)
+		// G^(j−1)[p,q] = (b[q]/b[p])·G^(j)[p,q] + x[p]z[p] + y[q]z[q],
+		// masked; y becomes y∘z, which is all y is needed for.
+		for q := range y {
+			y[q] *= z[q]
+		}
 		for p := 0; p < d; p++ {
-			grow := g.Row(p)
-			wrow := w.Row(p)
-			nrow := next.Row(p)
+			wrow, grow, nrow := wd[p*d:(p+1)*d], g[p*d:(p+1)*d], next[p*d:(p+1)*d]
 			var invBp float64
 			if b[p] > 0 {
 				invBp = 1 / b[p]
 			}
+			xz := x[p] * z[p]
+			yz, b := y[:len(wrow)], b[:len(wrow)] // bounds-check hint
 			for q, wv := range wrow {
 				if wv == 0 {
+					nrow[q] = 0
 					continue
 				}
-				v := x[p]*z[p] + y[q]*z[q]
+				v := xz + yz[q]
 				if gv := grow[q]; gv != 0 && invBp > 0 {
 					v += gv * b[q] * invBp
 				}
 				nrow[q] = v
 			}
 		}
-		g = next
+		g, next = next, g
 	}
 	// ∇_W δ = 2·G^(0) ∘ W (Eq. 10).
-	grad := mat.NewDense(d, d)
-	for i := 0; i < d; i++ {
-		grow := g.Row(i)
-		wrow := w.Row(i)
-		out := grad.Row(i)
-		for l := range out {
-			out[l] = 2 * grow[l] * wrow[l]
-		}
+	grad := t.grad.Data()
+	for k, wv := range wd {
+		grad[k] = 2 * g[k] * wv
 	}
-	return val, grad
+	return val, t.grad
 }
 
 // --- Sparse (CSR) form: the LEAST-SP kernel ------------------------------
@@ -273,7 +344,8 @@ func (sp *Spectral) forwardSparse(w *sparse.CSR) (float64, *sparseTape) {
 	for j := 0; j <= sp.K; j++ {
 		r := s.RowSumsP(run)
 		c := s.ColSumsP(run)
-		b := balanceVec(r, c, sp.Alpha)
+		b := make([]float64, len(r))
+		balanceVec(b, r, c, sp.Alpha)
 		tape.s = append(tape.s, append([]float64(nil), s.Val...))
 		tape.b = append(tape.b, b)
 		if j == sp.K {
@@ -301,7 +373,8 @@ func (sp *Spectral) ValueGradSparse(w *sparse.CSR) (float64, []float64) {
 	d := w.Rows()
 	nnz := w.NNZ()
 	sk := w.WithValues(tape.s[sp.K])
-	xk, yk := xyVec(sk.RowSumsP(run), sk.ColSumsP(run), sp.Alpha)
+	xk, yk := make([]float64, d), make([]float64, d)
+	xyVec(xk, yk, sk.RowSumsP(run), sk.ColSumsP(run), sp.Alpha)
 	g := make([]float64, nnz)
 	run.ForWeighted(w.RowPtr, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
@@ -316,7 +389,8 @@ func (sp *Spectral) ValueGradSparse(w *sparse.CSR) (float64, []float64) {
 		sv := tape.s[j-1]
 		b := tape.b[j-1]
 		sPrev := w.WithValues(sv)
-		x, y := xyVec(sPrev.RowSumsP(run), sPrev.ColSumsP(run), sp.Alpha)
+		x, y := make([]float64, d), make([]float64, d)
+		xyVec(x, y, sPrev.RowSumsP(run), sPrev.ColSumsP(run), sp.Alpha)
 		z := make([]float64, d)
 		rowAcc := make([]float64, d)
 		// The z accumulation scatters by column, so each worker sums

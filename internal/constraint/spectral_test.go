@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -23,19 +24,59 @@ func randW(rng *randx.RNG, d int, density float64) *mat.Dense {
 	return w
 }
 
+// longestPath returns the number of edges on dag's longest path.
+func longestPath(t *testing.T, dag *gen.DAG) int {
+	t.Helper()
+	order, ok := dag.G.TopoSort()
+	if !ok {
+		t.Fatal("generated graph is cyclic")
+	}
+	depth := make([]int, dag.G.N()) // edges on the longest path ending at v
+	longest := 0
+	for _, u := range order {
+		for _, v := range dag.G.Children(u) {
+			depth[v] = max(depth[v], depth[u]+1)
+			longest = max(longest, depth[v])
+		}
+	}
+	return longest
+}
+
+// TestSpectralZeroOnDAG: every scaling round zeroes b at the current
+// sources (c = 0) and sinks (r = 0), which removes them from S, so a
+// DAG's longest path loses an edge at each end per round. Once it is
+// down to one edge no node has both an in- and an out-edge, b^(k) = 0
+// and δ^(k) is exactly 0 — on both the dense and the sparse path — for
+// every k with longest path ≤ 2k+1.
 func TestSpectralZeroOnDAG(t *testing.T) {
 	rng := randx.New(7)
-	sp := NewSpectral(5, 0.9)
+	checked := 0
 	for trial := 0; trial < 20; trial++ {
 		dag := gen.RandomDAG(rng, gen.ER, 12, 2, 0.5, 2)
-		// A DAG's S is nilpotent: spectral radius 0; the bound should
-		// collapse to (near) zero after enough scaling rounds because
-		// every b-vector kills sources/sinks progressively... the bound
-		// is not exactly zero in general, but the *exact* radius is.
 		if got := ExactSpectralRadius(dag.W); got > 1e-6 {
 			t.Fatalf("trial %d: DAG has spectral radius %g", trial, got)
 		}
-		_ = sp
+		wc := sparse.FromDense(dag.W, 0)
+		L := longestPath(t, dag)
+		for k := 1; k <= 8; k++ {
+			if L > 2*k+1 {
+				continue
+			}
+			sp := &Spectral{K: k, Alpha: DefaultAlpha}
+			if v := sp.Value(dag.W); v != 0 {
+				t.Errorf("trial %d (longest path %d): dense δ^(%d) = %g, want 0", trial, L, k, v)
+			}
+			if v, _ := sp.ValueGrad(dag.W); v != 0 {
+				t.Errorf("trial %d (longest path %d): dense ValueGrad δ^(%d) = %g, want 0", trial, L, k, v)
+			}
+			if v := sp.ValueSparse(wc); v != 0 {
+				t.Errorf("trial %d (longest path %d): sparse δ^(%d) = %g, want 0", trial, L, k, v)
+			}
+			checked++
+		}
+	}
+	if checked < 20*5 {
+		t.Fatalf("only %d (DAG, k) cells met longest path ≤ 2k+1", checked)
 	}
 }
 
@@ -46,7 +87,8 @@ func TestSpectralUpperBoundsRadius(t *testing.T) {
 			w := randW(rng, d, 0.3)
 			exact := ExactSpectralRadius(w)
 			for _, k := range []int{0, 1, 3, 5, 8} {
-				sp := NewSpectral(k, 0.9)
+				// Built directly: NewSpectral maps k ≤ 0 to DefaultK.
+				sp := &Spectral{K: k, Alpha: 0.9}
 				bound := sp.Value(w)
 				if bound+1e-9 < exact {
 					t.Fatalf("d=%d k=%d: bound %g < exact radius %g", d, k, bound, exact)
@@ -75,35 +117,43 @@ func TestSpectralBoundMonotoneInK(t *testing.T) {
 	}
 }
 
+// TestSpectralGradientFiniteDifference checks ∇δ against central
+// differences at every tape depth the learners reach, including the
+// one-round K=0 tape. The Value probes run on the evaluator that
+// returned grad, which is safe because Value never writes the gradient.
 func TestSpectralGradientFiniteDifference(t *testing.T) {
-	rng := randx.New(23)
-	sp := NewSpectral(4, 0.9)
-	for trial := 0; trial < 5; trial++ {
-		d := 6
-		w := randW(rng, d, 0.5)
-		_, grad := sp.ValueGrad(w)
-		const h = 1e-6
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				if w.At(i, j) == 0 {
-					if grad.At(i, j) != 0 {
-						t.Fatalf("gradient off-support at (%d,%d): %g", i, j, grad.At(i, j))
+	for _, k := range []int{0, 1, 5, 8} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			rng := randx.New(23)
+			sp := &Spectral{K: k, Alpha: 0.9}
+			for trial := 0; trial < 5; trial++ {
+				d := 6
+				w := randW(rng, d, 0.5)
+				_, grad := sp.ValueGrad(w)
+				const h = 1e-6
+				for i := 0; i < d; i++ {
+					for j := 0; j < d; j++ {
+						if w.At(i, j) == 0 {
+							if grad.At(i, j) != 0 {
+								t.Fatalf("gradient off-support at (%d,%d): %g", i, j, grad.At(i, j))
+							}
+							continue
+						}
+						orig := w.At(i, j)
+						w.Set(i, j, orig+h)
+						fp := sp.Value(w)
+						w.Set(i, j, orig-h)
+						fm := sp.Value(w)
+						w.Set(i, j, orig)
+						fd := (fp - fm) / (2 * h)
+						g := grad.At(i, j)
+						if diff := math.Abs(fd - g); diff > 1e-4*math.Max(1, math.Abs(fd)) {
+							t.Errorf("trial %d (%d,%d): analytic %g vs finite-diff %g", trial, i, j, g, fd)
+						}
 					}
-					continue
-				}
-				orig := w.At(i, j)
-				w.Set(i, j, orig+h)
-				fp := sp.Value(w)
-				w.Set(i, j, orig-h)
-				fm := sp.Value(w)
-				w.Set(i, j, orig)
-				fd := (fp - fm) / (2 * h)
-				g := grad.At(i, j)
-				if diff := math.Abs(fd - g); diff > 1e-4*math.Max(1, math.Abs(fd)) {
-					t.Errorf("trial %d (%d,%d): analytic %g vs finite-diff %g", trial, i, j, g, fd)
 				}
 			}
-		}
+		})
 	}
 }
 
